@@ -1,7 +1,7 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`, `lint`,
 # `smoke-serving`, `smoke-fused`, `smoke-racecheck`, `smoke-analysis`,
 # `smoke-obs`, `smoke-compile`, `smoke-fusion`, `smoke-mp`,
-# `smoke-verify` and `smoke-fleet` on every push.
+# `smoke-verify`, `smoke-fleet` and `perfbench-selftest` on every push.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -19,7 +19,7 @@ SMOKE_FLEET_REPORT ?= /tmp/repro_fleet_smoke.json
 # ≤2 % claim; the freshly-measured smoke run gets slack against tenancy.
 SMOKE_OBS_BUDGET ?= 1.10
 
-.PHONY: test lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
+.PHONY: test lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet perfbench-selftest bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -158,6 +158,12 @@ smoke-fleet:
 	$(PYTHON) -m repro fleet-bench --output $(SMOKE_FLEET_REPORT) > /dev/null
 	$(PYTHON) tools/check_fleet_report.py $(SMOKE_FLEET_REPORT)
 	$(PYTHON) tools/check_fleet_report.py benchmarks/baselines/BENCH_fleet.json
+
+# the benchmark's own self-tests (perfbench/README.md): they sit outside
+# the tier-1 testpaths, so a refactor that breaks a workload or the span
+# tracer's wrapped entry points fails here
+perfbench-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 # regenerate every paper table/figure + the serving sweep (minutes)
 bench:

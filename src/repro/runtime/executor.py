@@ -1,7 +1,17 @@
-"""Executors that actually run task payloads.
+"""The dispatch core and the executors that run task payloads for real.
 
-:class:`SerialExecutor` runs the graph in registration order on one core —
-the reference schedule used in correctness tests.
+:class:`Dispatch` is everything about one ``run(graph, plan)`` that does
+not depend on where tasks execute: plan validation and the
+replay-vs-dynamic scheduler choice, the root push, indegree release with
+locality hints, hook calls, :class:`TaskRecord` creation, the starvation
+check and the epilogue.  Every executor — these two,
+:class:`~repro.runtime.simexec.SimulatedExecutor` and
+:class:`~repro.runtime.mpexec.MultiprocessExecutor` — drives one
+``Dispatch`` per run and keeps only its substrate: where and when a popped
+task runs.
+
+:class:`SerialExecutor` runs one worker inline: tasks one by one on core 0
+in FIFO release order — the reference schedule used in correctness tests.
 
 :class:`ThreadedExecutor` is the real-concurrency engine: ``n_workers``
 threads pull from a shared scheduler under a lock.  RNN-cell payloads are
@@ -22,6 +32,7 @@ from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.scheduler import (
+    FIFOScheduler,
     LocalityAwareScheduler,
     ReplayScheduler,
     Scheduler,
@@ -58,8 +69,115 @@ def locality_hint(completed: Task, successor: Task, core: int) -> Optional[int]:
     return core if shared >= HINT_MIN_SHARED_FRACTION * ws else None
 
 
+class Dispatch:
+    """Dependence state, scheduler and trace of one graph execution.
+
+    The manager half of a manager/worker runtime (Bosch et al.,
+    arXiv:2009.03066).  A substrate asks :meth:`pop` for a task for an
+    idle core, reports its run through :meth:`started`, :meth:`record` and
+    :meth:`done`, and ends with :meth:`finish`.  Not thread-safe: the
+    threaded executor calls it under its one lock.
+
+    With ``plan`` (a compiled :class:`~repro.compile.plan.CompiledPlan`
+    for this graph) the run replays the plan's static release order over
+    its transitive-reduced edges: fewer indegree decrements per completion
+    and no locality hints.  Otherwise ``scheduler`` (anything
+    :func:`resolve_scheduler` accepts) orders the ready tasks, and each
+    released successor is hinted toward its predecessor's core.
+    """
+
+    def __init__(
+        self,
+        graph: TaskGraph,
+        n_workers: int,
+        scheduler,
+        plan=None,
+        hooks: Optional[ProfilingHooks] = None,
+        metrics: Optional[MetricsRegistry] = None,
+    ) -> None:
+        if plan is not None:
+            plan.validate(graph)
+            self.scheduler = ReplayScheduler(plan.to_schedule_record(), n_workers)
+            self._successors = plan.successors
+            self._indegree = plan.indegree()
+        else:
+            self.scheduler = resolve_scheduler(scheduler, n_workers)
+            self._successors = graph.successors
+            self._indegree = list(graph.indegree)
+        self.scheduler.hooks = hooks
+        self._replay = plan is not None
+        self._tasks = graph.tasks
+        self._hooks = hooks
+        self._metrics = metrics
+        self.trace = ExecutionTrace(
+            n_cores=n_workers, scheduler=getattr(self.scheduler, "name", "?")
+        )
+        self.remaining = len(graph.tasks)
+        self.inflight = 0
+        # Roots are identical under transitive reduction (a redundant edge
+        # into t implies another retained path into t).
+        for tid, deg in enumerate(self._indegree):
+            if deg == 0:
+                self.scheduler.push(graph.tasks[tid])
+
+    def pop(self, core: int) -> Optional[Task]:
+        """The next task for ``core``, or ``None`` to wait for a completion.
+
+        Raises :class:`RuntimeError` when tasks remain, none is in flight
+        and the scheduler yields nothing: no completion could ever release
+        more work (a replay order that is not topological, a scheduler
+        that lost a task).
+        """
+        task = self.scheduler.pop(core)
+        if task is not None:
+            self.inflight += 1
+        elif not self.inflight and self.remaining:
+            raise self._starved()
+        return task
+
+    def started(self, task: Task, core: int, t: float) -> None:
+        if self._hooks is not None:
+            self._hooks.on_task_start(task, core, t)
+
+    def record(self, task: Task, core: int, start: float, end: float, **cost) -> None:
+        """Append ``task``'s :class:`TaskRecord`; ``cost`` adds simulated extras."""
+        self.trace.records.append(TaskRecord(
+            tid=task.tid, name=task.name, kind=task.kind, core=core, start=start, end=end,
+            flops=task.flops, wss_bytes=task.working_set_bytes(), **cost,
+        ))
+
+    def done(self, task: Task, core: int, t: float) -> int:
+        """Retire ``task``, finished on ``core`` at ``t``, and push every
+        successor it made ready; returns how many it released."""
+        if self._hooks is not None:
+            self._hooks.on_task_end(task, core, t)
+        self.inflight -= 1
+        self.remaining -= 1
+        indegree, tasks, push = self._indegree, self._tasks, self.scheduler.push
+        woke = 0
+        for succ_tid in self._successors[task.tid]:
+            indegree[succ_tid] -= 1
+            if indegree[succ_tid] == 0:
+                succ = tasks[succ_tid]
+                push(succ, hint=None if self._replay else locality_hint(task, succ, core))
+                woke += 1
+        return woke
+
+    def finish(self) -> ExecutionTrace:
+        """Check every task ran, then attach and publish the scheduler counters."""
+        if self.remaining:
+            raise self._starved()
+        trace = self.trace
+        trace.scheduler_counters = counters = self.scheduler.counters
+        publish_run(self._metrics, trace, counters, trace.scheduler)
+        return trace
+
+    def _starved(self) -> RuntimeError:
+        return RuntimeError(f"scheduler starved with {self.remaining} tasks remaining")
+
+
 class SerialExecutor:
-    """Run tasks one by one in registration (topological) order."""
+    """Run tasks one by one on core 0 in FIFO release order, or replay a plan."""
 
     def __init__(
         self,
@@ -70,33 +188,18 @@ class SerialExecutor:
         self.metrics = metrics
         self.hooks = hooks
 
-    def run(self, graph: TaskGraph) -> ExecutionTrace:
-        trace = ExecutionTrace(n_cores=1, scheduler="serial")
-        hooks = self.hooks
-        now = 0.0
-        for task in graph:
-            if hooks is not None:
-                hooks.on_task_start(task, 0, now)
-            t0 = time.perf_counter()
+    def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
+        d = Dispatch(graph, 1, FIFOScheduler, plan, self.hooks, self.metrics)
+        epoch = time.perf_counter()
+        while d.remaining:
+            task = d.pop(0)  # never None: with nothing in flight, pop raises
+            start = time.perf_counter() - epoch
+            d.started(task, 0, start)
             task.run()
-            dur = time.perf_counter() - t0
-            trace.records.append(
-                TaskRecord(
-                    tid=task.tid,
-                    name=task.name,
-                    kind=task.kind,
-                    core=0,
-                    start=now,
-                    end=now + dur,
-                    flops=task.flops,
-                    wss_bytes=task.working_set_bytes(),
-                )
-            )
-            now += dur
-            if hooks is not None:
-                hooks.on_task_end(task, 0, now)
-        publish_run(self.metrics, trace)
-        return trace
+            end = time.perf_counter() - epoch
+            d.record(task, 0, start, end)
+            d.done(task, 0, end)
+        return d.finish()
 
 
 class ThreadedExecutor:
@@ -124,53 +227,25 @@ class ThreadedExecutor:
         self.hooks = hooks
 
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Execute ``graph``; with ``plan`` (a compiled
-        :class:`~repro.compile.plan.CompiledPlan`) replay its static
-        release order over the transitive-reduced edge set instead of
-        resolving dependences dynamically — fewer indegree decrements per
-        completion and no locality-hint computation per wake-up."""
-        if plan is not None:
-            plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_workers)
-            successors = plan.successors
-            indegree = plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self._scheduler_factory, self.n_workers)
-            successors = graph.successors
-            indegree = list(graph.indegree)
-        scheduler.hooks = self.hooks
-        hooks = self.hooks
-        trace = ExecutionTrace(
-            n_cores=self.n_workers, scheduler=getattr(scheduler, "name", "?")
+        """Execute ``graph``, replaying ``plan`` if given (see :class:`Dispatch`)."""
+        d = Dispatch(
+            graph, self.n_workers, self._scheduler_factory, plan, self.hooks, self.metrics
         )
         lock = threading.Lock()
         work_available = threading.Condition(lock)
-        remaining = len(graph.tasks)
         errors: list = []
-        replay = plan is not None
         epoch = time.perf_counter()
 
-        if replay:
-            # Roots are identical under transitive reduction (a redundant
-            # edge into t implies another retained path into t).
-            for tid, deg in enumerate(indegree):
-                if deg == 0:
-                    scheduler.push(graph.tasks[tid])
-        else:
-            for task in graph.roots():
-                scheduler.push(task)
-
         def worker(core: int) -> None:
-            nonlocal remaining
             while True:
                 with lock:
                     while True:
-                        if remaining == 0 or errors:
+                        if not d.remaining or errors:
                             work_available.notify_all()
                             return
                         try:
-                            task = scheduler.pop(core)
-                        except BaseException as exc:  # e.g. replay mismatch
+                            task = d.pop(core)
+                        except BaseException as exc:  # replay mismatch, starvation
                             errors.append(exc)
                             work_available.notify_all()
                             return
@@ -178,8 +253,7 @@ class ThreadedExecutor:
                             break
                         work_available.wait()
                 start = time.perf_counter() - epoch
-                if hooks is not None:
-                    hooks.on_task_start(task, core, start)
+                d.started(task, core, start)
                 try:
                     task.run()
                 except BaseException as exc:  # surface payload failures
@@ -188,31 +262,9 @@ class ThreadedExecutor:
                         work_available.notify_all()
                     return
                 end = time.perf_counter() - epoch
-                if hooks is not None:
-                    hooks.on_task_end(task, core, end)
                 with lock:
-                    trace.records.append(
-                        TaskRecord(
-                            tid=task.tid,
-                            name=task.name,
-                            kind=task.kind,
-                            core=core,
-                            start=start,
-                            end=end,
-                            flops=task.flops,
-                            wss_bytes=task.working_set_bytes(),
-                        )
-                    )
-                    remaining -= 1
-                    woke = 0
-                    for succ_tid in successors[task.tid]:
-                        indegree[succ_tid] -= 1
-                        if indegree[succ_tid] == 0:
-                            succ = graph.tasks[succ_tid]
-                            hint = None if replay else locality_hint(task, succ, core)
-                            scheduler.push(succ, hint=hint)
-                            woke += 1
-                    if woke or remaining == 0:
+                    d.record(task, core, start, end)
+                    if d.done(task, core, end) or not d.remaining:
                         work_available.notify_all()
 
         threads = [
@@ -225,8 +277,4 @@ class ThreadedExecutor:
             t.join()
         if errors:
             raise errors[0]
-        if remaining != 0:  # pragma: no cover - defensive deadlock check
-            raise RuntimeError(f"executor finished with {remaining} unexecuted tasks")
-        trace.scheduler_counters = scheduler.counters
-        publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-        return trace
+        return d.finish()

@@ -6,8 +6,9 @@ hold the GIL — ``fusion="off"`` per-gate kernels, small wavefront tiles,
 pointwise-heavy GRU graphs — overlap for real instead of serialising on
 one interpreter lock.  The design follows the distributed-manager runtime
 of Bosch et al. (arXiv:2009.03066): a single *manager* (this process)
-drives the existing scheduler/indegree machinery, and only **task ids and
-region slot descriptors — never arrays — travel over the pipes**.
+drives the shared dispatch core (:class:`~repro.runtime.executor.Dispatch`),
+and only **task ids and region slot descriptors — never arrays — travel
+over the pipes**.
 
 Data movement instead goes through POSIX shared memory
 (:mod:`repro.runtime.shm`), in two disciplines derived from how the graph
@@ -56,18 +57,14 @@ from multiprocessing import connection
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.hooks import ProfilingHooks
-from repro.obs.publish import publish_mp_workers, publish_run
+from repro.obs.publish import publish_mp_workers
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.executor import SchedulerFactory, locality_hint
+from repro.runtime.executor import Dispatch, SchedulerFactory
 from repro.runtime.protocol import WorkerCrashError
-from repro.runtime.scheduler import (
-    LocalityAwareScheduler,
-    ReplayScheduler,
-    resolve_scheduler,
-)
+from repro.runtime.scheduler import LocalityAwareScheduler
 from repro.runtime.shm import ALIGNMENT, ShmArena
-from repro.runtime.trace import ExecutionTrace, TaskRecord
+from repro.runtime.trace import ExecutionTrace
 
 #: floor on an export arena's size — tiny graphs still get working room
 MIN_ARENA_BYTES = 1 << 20
@@ -271,28 +268,13 @@ class MultiprocessExecutor:
     # -- execution -----------------------------------------------------------
 
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Execute ``graph``; semantics match ``ThreadedExecutor.run``
-        (dynamic dependence resolution, or static replay with ``plan``)."""
-        if plan is not None:
-            plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_workers)
-            successors = plan.successors
-            indegree = plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self._scheduler_factory, self.n_workers)
-            successors = graph.successors
-            indegree = list(graph.indegree)
-        scheduler.hooks = self.hooks
-        hooks = self.hooks
-        replay = plan is not None
-        trace = ExecutionTrace(
-            n_cores=self.n_workers, scheduler=getattr(scheduler, "name", "?")
+        """Execute ``graph``, replaying ``plan`` if given (see
+        :class:`~repro.runtime.executor.Dispatch`)."""
+        d = Dispatch(
+            graph, self.n_workers, self._scheduler_factory, plan, self.hooks, self.metrics
         )
-        n_tasks = len(graph.tasks)
-        if n_tasks == 0:
-            trace.scheduler_counters = scheduler.counters
-            publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-            return trace
+        if not d.remaining:
+            return d.finish()
 
         storage = graph.storage
         functional = bool(
@@ -308,7 +290,6 @@ class MultiprocessExecutor:
         workers: List[_Worker] = []
         errors: List[BaseException] = []
         worker_stats: Dict[int, dict] = {}
-        remaining = n_tasks
 
         try:
             # 1. Rebind preallocated storage into the shared state arena
@@ -360,27 +341,19 @@ class MultiprocessExecutor:
                 workers.append(_Worker(proc, cmd_w, res_r, cores[i]))
 
             # 4. Manager loop: dispatch to idle workers, collect results,
-            #    release successors — the scheduler machinery is exactly
-            #    the threaded executor's, driven from one process.
+            #    release successors — the dispatch core is exactly the
+            #    threaded executor's, driven from one process.
             epoch = time.perf_counter()
             versions: Dict = {}  # key -> (version, block, writer wid)
             completions = 0
             idle = deque(range(self.n_workers))
             inflight: Dict[int, object] = {}  # wid -> Task
 
-            if replay:
-                for tid, deg in enumerate(indegree):
-                    if deg == 0:
-                        scheduler.push(graph.tasks[tid])
-            else:
-                for task in graph.roots():
-                    scheduler.push(task)
-
-            while remaining and not errors:
+            while d.remaining and not errors:
                 while idle:
                     try:
-                        task = scheduler.pop(idle[0])
-                    except BaseException as exc:  # e.g. replay mismatch
+                        task = d.pop(idle[0])
+                    except BaseException as exc:  # replay mismatch, starvation
                         errors.append(exc)
                         break
                     if task is None:
@@ -397,8 +370,7 @@ class MultiprocessExecutor:
                             continue
                         needed.append((key, block))
                         w.seen[key] = vno
-                    if hooks is not None:
-                        hooks.on_task_start(task, wid, time.perf_counter() - epoch)
+                    d.started(task, wid, time.perf_counter() - epoch)
                     try:
                         w.cmd_w.send(("task", task.tid, needed))
                     except (BrokenPipeError, OSError):
@@ -409,13 +381,6 @@ class MultiprocessExecutor:
                         break
                     inflight[wid] = task
                 if errors:
-                    break
-                if not inflight:
-                    errors.append(
-                        RuntimeError(
-                            f"scheduler starved with {remaining} tasks remaining"
-                        )
-                    )
                     break
 
                 res_by_obj = {workers[wid].res_r: wid for wid in inflight}
@@ -464,31 +429,8 @@ class MultiprocessExecutor:
                                 )
                         if side:
                             storage.apply_side_state(side)
-                        start, end = t0 - epoch, t1 - epoch
-                        if hooks is not None:
-                            hooks.on_task_end(task, wid, end)
-                        trace.records.append(
-                            TaskRecord(
-                                tid=task.tid,
-                                name=task.name,
-                                kind=task.kind,
-                                core=wid,
-                                start=start,
-                                end=end,
-                                flops=task.flops,
-                                wss_bytes=task.working_set_bytes(),
-                            )
-                        )
-                        remaining -= 1
-                        for succ_tid in successors[task.tid]:
-                            indegree[succ_tid] -= 1
-                            if indegree[succ_tid] == 0:
-                                succ = graph.tasks[succ_tid]
-                                hint = (
-                                    None if replay
-                                    else locality_hint(task, succ, wid)
-                                )
-                                scheduler.push(succ, hint=hint)
+                        d.record(task, wid, t0 - epoch, t1 - epoch)
+                        d.done(task, wid, t1 - epoch)
                         idle.append(wid)
                     elif kind == "error":
                         _, _w, tid, payload, tb = msg
@@ -559,12 +501,7 @@ class MultiprocessExecutor:
 
         if errors:
             raise errors[0]
-        if remaining != 0:  # pragma: no cover - defensive deadlock check
-            raise RuntimeError(
-                f"executor finished with {remaining} unexecuted tasks"
-            )
-        trace.scheduler_counters = scheduler.counters
-        publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
+        trace = d.finish()
         publish_mp_workers(self.metrics, worker_stats)
         return trace
 

@@ -35,8 +35,8 @@ class Executor(Protocol):
     :class:`~repro.runtime.trace.ExecutionTrace`.  ``plan`` — a
     :class:`~repro.compile.plan.CompiledPlan` for this exact graph —
     replays a compiled release order instead of resolving dependences
-    dynamically; substrates that support serving warm shapes must honour
-    it (``SerialExecutor``, which predates compilation, does not).
+    dynamically; every substrate honours it through the shared
+    :class:`~repro.runtime.executor.Dispatch` core.
     """
 
     n_workers: int

@@ -18,12 +18,10 @@ import heapq
 from typing import List, Optional, Set, Tuple
 
 from repro.obs.hooks import ProfilingHooks
-from repro.obs.publish import publish_run
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.depgraph import TaskGraph
-from repro.runtime.executor import locality_hint
-from repro.runtime.scheduler import ReplayScheduler, Scheduler, resolve_scheduler
-from repro.runtime.trace import ExecutionTrace, TaskRecord
+from repro.runtime.executor import Dispatch
+from repro.runtime.trace import ExecutionTrace
 from repro.simarch.cache import CacheModel
 from repro.simarch.costmodel import CostModel
 from repro.simarch.machine import MachineSpec, usable_cores
@@ -86,34 +84,15 @@ class SimulatedExecutor:
         self._cache = CacheModel(self.machine, self._active_sockets)
 
     def run(self, graph: TaskGraph, plan=None) -> ExecutionTrace:
-        """Simulate ``graph``; with ``plan`` (a compiled
-        :class:`~repro.compile.plan.CompiledPlan`) replay its static
-        release order over the transitive-reduced edge set instead of a
-        dynamic ready-queue policy."""
+        """Simulate ``graph``, replaying ``plan`` if given (see
+        :class:`~repro.runtime.executor.Dispatch`)."""
         if not self.persistent_cache:
             self.reset_cache()
         cache = self._cache
-        if plan is not None:
-            plan.validate(graph)
-            scheduler = ReplayScheduler(plan.to_schedule_record(), self.n_cores)
-            successors = plan.successors
-            indegree = plan.indegree()
-        else:
-            scheduler = resolve_scheduler(self.scheduler_policy, self.n_cores)
-            successors = graph.successors
-            indegree = list(graph.indegree)
-        replay = plan is not None
-        scheduler.hooks = self.hooks
-        hooks = self.hooks
-        trace = ExecutionTrace(
-            n_cores=self.n_cores, scheduler=getattr(scheduler, "name", "?")
+        d = Dispatch(
+            graph, self.n_cores, self.scheduler_policy, plan, self.hooks, self.metrics
         )
-
-        remaining = len(graph.tasks)
-        if remaining == 0:
-            trace.scheduler_counters = scheduler.counters
-            publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-            return trace
+        scheduler = d.scheduler
 
         idle: Set[int] = set(range(self.n_cores))
         active_on_socket = [0] * self.machine.n_sockets
@@ -121,16 +100,6 @@ class SimulatedExecutor:
         events: List[Tuple[float, int, int, int]] = []
         seq = 0
         now = 0.0
-
-        if replay:
-            # Roots are identical under transitive reduction (a redundant
-            # edge into t implies another retained path into t).
-            for tid, deg in enumerate(indegree):
-                if deg == 0:
-                    scheduler.push(graph.tasks[tid])
-        else:
-            for task in graph.roots():
-                scheduler.push(task)
 
         affinity = getattr(scheduler, "_affinity", None)
         # Core enumeration interleaved across sockets: un-hinted work spreads
@@ -167,7 +136,7 @@ class SimulatedExecutor:
                     ]
                 dispatched = False
                 for core in order:
-                    task = scheduler.pop(core)
+                    task = d.pop(core)
                     if task is None:
                         break
                     idle.discard(core)
@@ -176,25 +145,14 @@ class SimulatedExecutor:
                     cost = self.cost_model.cost(
                         task, core, cache, active_on_socket[socket]
                     )
-                    if hooks is not None:
-                        hooks.on_task_start(task, core, now)
+                    d.started(task, core, now)
                     if self.execute_payloads:
                         task.run()
-                    trace.records.append(
-                        TaskRecord(
-                            tid=task.tid,
-                            name=task.name,
-                            kind=task.kind,
-                            core=core,
-                            start=now,
-                            end=now + cost.duration,
-                            flops=task.flops,
-                            wss_bytes=task.working_set_bytes(),
-                            instructions=cost.instructions,
-                            l3_miss_bytes=cost.access.miss_bytes,
-                            remote_miss_bytes=cost.access.remote_mem_bytes,
-                            overhead=cost.overhead,
-                        )
+                    d.record(
+                        task, core, now, now + cost.duration,
+                        instructions=cost.instructions, overhead=cost.overhead,
+                        l3_miss_bytes=cost.access.miss_bytes,
+                        remote_miss_bytes=cost.access.remote_mem_bytes,
                     )
                     heapq.heappush(events, (now + cost.duration, seq, task.tid, core))
                     seq += 1
@@ -213,24 +171,11 @@ class SimulatedExecutor:
                 _, _, tid2, core2 = heapq.heappop(events)
                 completed.append((tid2, core2))
             for tid2, core2 in completed:
-                task = graph.tasks[tid2]
-                if hooks is not None:
-                    hooks.on_task_end(task, core2, now)
                 idle.add(core2)
                 active_on_socket[self.machine.socket_of(core2)] -= 1
-                remaining -= 1
-                for succ_tid in successors[tid2]:
-                    indegree[succ_tid] -= 1
-                    if indegree[succ_tid] == 0:
-                        succ = graph.tasks[succ_tid]
-                        hint = None if replay else locality_hint(task, succ, core2)
-                        scheduler.push(succ, hint=hint)
+                d.done(graph.tasks[tid2], core2, now)
             dispatch()
 
-        if remaining != 0:  # pragma: no cover - defensive
-            raise RuntimeError(f"simulation finished with {remaining} unexecuted tasks")
-        trace.machine = self.machine  # type: ignore[attr-defined]
-        trace.cache_stats = cache.stats  # type: ignore[attr-defined]
-        trace.scheduler_counters = scheduler.counters
-        publish_run(self.metrics, trace, scheduler.counters, trace.scheduler)
-        return trace
+        d.trace.machine = self.machine  # type: ignore[attr-defined]
+        d.trace.cache_stats = cache.stats  # type: ignore[attr-defined]
+        return d.finish()

@@ -248,9 +248,14 @@ def make_executor(name, n_workers=2, scheduler="fifo"):
     """A fresh functional executor of substrate ``name``.
 
     ``sim`` returns the modelled machine with ``execute_payloads=True``,
-    so all three substrates run the real numerics and can be compared
-    bitwise.
+    so every substrate runs the real numerics and can be compared
+    bitwise.  ``serial`` always runs one worker under FIFO and ignores
+    ``n_workers`` and ``scheduler``.
     """
+    if name == "serial":
+        from repro.runtime.executor import SerialExecutor
+
+        return SerialExecutor()
     if name == "threaded":
         from repro.runtime.executor import ThreadedExecutor
 
