@@ -8,7 +8,8 @@ rather than scrolling by in pytest output.  Shape:
       "bench": "<name>",            # selects the checker schema
       "schema_version": 1,
       "config": { ... },            # everything needed to re-run
-      "results": { ... }            # medians/percentiles/speedups
+      "results": { ... },           # medians/percentiles/speedups
+      "host": { ... }               # host facts (:func:`host_facts`)
     }
 
 Timing samples are summarised with the same percentile definition the
@@ -21,6 +22,10 @@ import json
 import os
 from typing import Dict, List, Sequence
 
+import numpy as np
+
+from repro.runtime.blas import blas_threads
+from repro.runtime.mpexec import host_cores
 from repro.runtime.trace import percentile
 
 SCHEMA_VERSION = 1
@@ -46,13 +51,36 @@ def bench_output_dir() -> str:
     return os.environ.get("REPRO_BENCH_DIR", DEFAULT_BENCH_DIR)
 
 
+def host_facts() -> Dict:
+    """The recording host as a record sees it.
+
+    ``nproc`` counts the machine's cores, ``affinity_cores`` those this
+    process may run on, and ``blas_threads`` is this process's OpenBLAS
+    thread count (``None`` without OpenBLAS).  Recorded only; no gate
+    requires the block yet.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "nproc": os.cpu_count() or 1,
+        "affinity_cores": len(host_cores()),
+        "blas_name": blas.get("name", "unknown"),
+        "blas_version": blas.get("version", "unknown"),
+        "blas_threads": blas_threads(),
+    }
+
+
 def write_bench_json(path: str, bench: str, config: Dict, results: Dict) -> Dict:
-    """Assemble the report, write it to ``path``, and return it."""
+    """Assemble the report, stamp the host facts, write it to ``path``,
+    and return it."""
     report = {
         "bench": bench,
         "schema_version": SCHEMA_VERSION,
         "config": config,
         "results": results,
+        "host": host_facts(),
     }
     directory = os.path.dirname(path)
     if directory:

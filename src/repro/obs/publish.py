@@ -193,10 +193,12 @@ def publish_mp_workers(
 
     ``worker_stats`` maps worker id → the counter dict each worker ships
     in its ``bye`` message (tasks/imports/exports, byte volumes, payload
-    seconds).  These are *worker-side* observations — measured inside the
-    worker processes and aggregated here after the run, so the manager's
-    dispatch loop stays registry-free.  No-op when ``registry`` is
-    ``None`` or a run ended before stats collection (crash paths).
+    seconds, and the BLAS thread budget it applied — a gauge, absent
+    when no OpenBLAS was found).  These are *worker-side* observations —
+    measured inside the worker processes and aggregated here after the
+    run, so the manager's dispatch loop stays registry-free.  No-op when
+    ``registry`` is ``None`` or a run ended before stats collection
+    (crash paths).
     """
     if registry is None or not worker_stats:
         return
@@ -211,6 +213,11 @@ def publish_mp_workers(
             ("repro_exec_mp_busy_seconds", "exec_seconds", "payload execution time"),
         ):
             registry.counter(name, help=help_, **labels).inc(stats.get(key, 0))
+        if stats.get("blas_threads") is not None:
+            registry.gauge(
+                "repro_exec_mp_blas_threads", help="BLAS threads the worker ran with",
+                **labels,
+            ).set(stats["blas_threads"])
 
 
 def publish_run(

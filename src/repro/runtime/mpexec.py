@@ -59,6 +59,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.hooks import ProfilingHooks
 from repro.obs.publish import publish_mp_workers
 from repro.obs.registry import MetricsRegistry
+from repro.runtime.blas import blas_threads, set_blas_threads, stop_blas_pool
 from repro.runtime.depgraph import TaskGraph
 from repro.runtime.executor import Dispatch, SchedulerFactory
 from repro.runtime.protocol import WorkerCrashError
@@ -74,6 +75,23 @@ MIN_ARENA_BYTES = 1 << 20
 EXPORT_SLACK_BYTES = 1024
 
 
+def host_cores() -> List[int]:
+    """Ids of the cores this process may run on, ascending.
+
+    The affinity mask, not ``os.cpu_count()``: under ``taskset`` or a
+    cgroup cpuset only the cores in the mask are usable.
+    """
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        return list(range(os.cpu_count() or 1))
+
+
+def blas_budget(n_workers: int) -> int:
+    """BLAS threads per worker: the usable cores shared evenly, at least 1."""
+    return max(1, len(host_cores()) // n_workers)
+
+
 def plan_placement(n_workers: int, topology=None) -> List[int]:
     """Socket-compact core ids for ``n_workers`` workers.
 
@@ -83,12 +101,15 @@ def plan_placement(n_workers: int, topology=None) -> List[int]:
     paper's ≤24-core runs use and the cost model's remote-access pricing
     assumes.  ``topology`` is anything with ``n_sockets``/
     ``cores_per_socket`` (e.g. a ``MachineSpec``), an ``(n_sockets,
-    cores_per_socket)`` tuple, or ``None`` for the host (one socket,
-    ``os.cpu_count()`` cores).  Workers beyond the core count wrap.
+    cores_per_socket)`` tuple, or ``None`` for the host: one socket made
+    of the cores in the affinity mask (:func:`host_cores`), so worker
+    ``w`` lands on ``host_cores()[w % n]``.  Workers beyond the core
+    count wrap.
     """
     if topology is None:
-        n_sockets, cores_per_socket = 1, os.cpu_count() or 1
-    elif hasattr(topology, "n_sockets"):
+        cores = host_cores()
+        return [cores[w % len(cores)] for w in range(n_workers)]
+    if hasattr(topology, "n_sockets"):
         n_sockets, cores_per_socket = topology.n_sockets, topology.cores_per_socket
     else:
         n_sockets, cores_per_socket = topology
@@ -96,18 +117,31 @@ def plan_placement(n_workers: int, topology=None) -> List[int]:
     return [w % total for w in range(n_workers)]
 
 
-def _pin_to_core(core_id: int) -> None:
+def worker_cores(n_workers: int, topology=None) -> List[Tuple[int, ...]]:
+    """The cores each worker is pinned to.
+
+    Worker ``w`` takes :func:`blas_budget` consecutive placement slots, so
+    a worker with a budget of ``k`` BLAS threads owns ``k`` cores and its
+    threads never share one.  With one slot each this is
+    :func:`plan_placement`.
+    """
+    budget = blas_budget(n_workers)
+    slots = plan_placement(n_workers * budget, topology)
+    return [tuple(slots[w * budget:(w + 1) * budget]) for w in range(n_workers)]
+
+
+def _pin_to_cores(core_ids: Tuple[int, ...]) -> None:
     """Best-effort affinity pin; silently a no-op where unsupported."""
     try:
         host = os.cpu_count() or 1
-        os.sched_setaffinity(0, {core_id % host})
+        os.sched_setaffinity(0, {c % host for c in core_ids})
     except (AttributeError, OSError, ValueError):  # pragma: no cover
         pass
 
 
 def _worker_main(
     worker_id: int,
-    core_id: int,
+    core_ids: Tuple[int, ...],
     graph: TaskGraph,
     functional: bool,
     exports_by_task: Dict[int, Tuple],
@@ -123,13 +157,21 @@ def _worker_main(
     payload failure, unpicklable export, arena exhaustion — is reported as
     an ``("error", …)`` message and the worker exits; it never blocks on a
     lock, so the manager can always make progress.
+
+    The worker's BLAS budget is one thread per core it was given
+    (:func:`worker_cores`), applied right after pinning and before the
+    first BLAS call; it reports the count it then reads back in its
+    ``bye`` stats (``None`` without OpenBLAS).
     """
-    _pin_to_core(core_id)
+    _pin_to_cores(core_ids)
+    set_blas_threads(len(core_ids))
+    stop_blas_pool()  # started by the set above; idle, it would spin on our cores
     storage = graph.storage
     my_arena = arenas[arena_name] if arena_name is not None else None
     stats = {
         "tasks": 0, "imports": 0, "exports": 0,
         "import_bytes": 0, "export_bytes": 0, "exec_seconds": 0.0,
+        "blas_threads": blas_threads(),
     }
     current_tid: Optional[int] = None
     try:
@@ -178,13 +220,12 @@ def _worker_main(
 class _Worker:
     """Manager-side handle: process, pipe ends, per-version import cache."""
 
-    __slots__ = ("proc", "cmd_w", "res_r", "core", "seen", "stats")
+    __slots__ = ("proc", "cmd_w", "res_r", "seen", "stats")
 
-    def __init__(self, proc, cmd_w, res_r, core: int) -> None:
+    def __init__(self, proc, cmd_w, res_r) -> None:
         self.proc = proc
         self.cmd_w = cmd_w
         self.res_r = res_r
-        self.core = core
         self.seen: Dict = {}  # region key -> last imported version
         self.stats: Optional[dict] = None
 
@@ -321,16 +362,18 @@ class MultiprocessExecutor:
             else:
                 arena_names = [None] * self.n_workers
 
-            # 3. Fork pinned workers.
+            # 3. Fork pinned workers, each with a BLAS budget of its share
+            #    of the usable cores (docs/EXECUTORS.md, "BLAS thread
+            #    budget").
             ctx = multiprocessing.get_context("fork")
-            cores = plan_placement(self.n_workers, self.topology)
-            for i in range(self.n_workers):
+            blas_threads()  # find the library here once; forked workers inherit it
+            for i, cores in enumerate(worker_cores(self.n_workers, self.topology)):
                 cmd_r, cmd_w = ctx.Pipe(duplex=False)
                 res_r, res_w = ctx.Pipe(duplex=False)
                 proc = ctx.Process(
                     target=_worker_main,
                     args=(
-                        i, cores[i], graph, functional, exports_by_task,
+                        i, cores, graph, functional, exports_by_task,
                         export_arenas, arena_names[i], cmd_r, res_w,
                     ),
                     daemon=True,
@@ -338,7 +381,7 @@ class MultiprocessExecutor:
                 proc.start()
                 cmd_r.close()
                 res_w.close()
-                workers.append(_Worker(proc, cmd_w, res_r, cores[i]))
+                workers.append(_Worker(proc, cmd_w, res_r))
 
             # 4. Manager loop: dispatch to idle workers, collect results,
             #    release successors — the dispatch core is exactly the
