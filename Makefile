@@ -1,7 +1,7 @@
 # Convenience targets; CI (.github/workflows/ci.yml) runs `test`, `lint`,
 # `smoke-serving`, `smoke-fused`, `smoke-racecheck`, `smoke-analysis`,
 # `smoke-obs`, `smoke-compile`, `smoke-fusion`, `smoke-mp`,
-# `smoke-verify`, `smoke-fleet` and `perfbench-selftest` on every push.
+# `smoke-verify`, `smoke-fleet`, `perfbench-selftest` and `sloc` on every push.
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
@@ -19,7 +19,7 @@ SMOKE_FLEET_REPORT ?= /tmp/repro_fleet_smoke.json
 # ≤2 % claim; the freshly-measured smoke run gets slack against tenancy.
 SMOKE_OBS_BUDGET ?= 1.10
 
-.PHONY: test lint smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet perfbench-selftest bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
+.PHONY: test lint sloc smoke-serving smoke-fused smoke-racecheck smoke-analysis smoke-obs smoke-compile smoke-fusion smoke-mp smoke-verify smoke-fleet perfbench-selftest bench fused-bench fusion-bench multiproc-bench serve-bench fleet-bench clean
 
 # tier-1: the full unit/integration/property suite (serving tests included)
 test:
@@ -50,6 +50,11 @@ smoke-fused:
 # Zero findings required; waive individual lines with `# lint: waive <rule>`.
 lint:
 	$(PYTHON) -m repro analyze --skip-graph --lint src/repro
+
+# source size: the `wc -l` total over src/repro/**/*.py, so each change's
+# net line delta against the code-deletion bar (ROADMAP item 3) is visible
+sloc:
+	@echo "src/repro: $$(find src/repro -name '*.py' -exec cat {} + | wc -l) lines"
 
 # static-analysis smoke: the analysis suite's own tests (graph linter,
 # over-declaration analyzer, AST lint, 64-config conformance sweep), then

@@ -612,7 +612,13 @@ class _Builder:
         if wavefront_tile is not None and wavefront_tile < 1:
             raise ValueError("wavefront_tile must be >= 1")
         self.fusion = fusion
-        self.wave_tile = min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE)
+        # Every recurrent cell task is a chain tile: wavefront_tile steps
+        # under the wavefront rung, a single step on every other rung.
+        self.wave_tile = (
+            min(seq_len, wavefront_tile or DEFAULT_WAVEFRONT_TILE)
+            if fusion == "wavefront"
+            else 1
+        )
         self.gate_mult = _GATE_MULT[spec.cell]
         self.spec = spec
         self.seq_len = seq_len
@@ -661,18 +667,12 @@ class _Builder:
         return base
 
     def _fusion_meta(self, mb: int) -> dict:
-        """Cost-model meta of a cell task under the active fusion policy.
-
-        Fusion annotations appear only when the policy deviates from the
-        default, so default-mode graphs stay byte-identical to what they
-        were before the fusion policy existed.
-        """
+        """Cost-model meta of a cell task under the active fusion policy:
+        its sweep count, plus the rung name on every rung but the default
+        ``"gates"``.  The chain-tile builders add ``gemm_calls``."""
         meta = {"reuse": self._cell_reuse(mb)}
         if self.fusion != "gates":
             meta["fusion"] = self.fusion
-            if self.fusion == "off":
-                # G separate per-gate GEMMs instead of one stacked call
-                meta["gemm_calls"] = self.gate_mult
         return meta
 
     def _proj_reuse(self, mb: int, block_len: int) -> float:
@@ -820,38 +820,6 @@ class _Builder:
 
     # -- payload factories (functional mode) ------------------------------------
 
-    def _fn_cell_fwd(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                h_prev = state.h_f[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_f[layer][step - 1] if step > 0 else state.c0
-            else:
-                pos = T - 1 - step
-                h_prev = state.h_r[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_r[layer][step - 1] if step > 0 else state.c0
-            if spec.cell != "lstm":
-                c_prev = None
-            h, c, cache = cell_forward(
-                spec, state.layer_input(layer, pos), h_prev, c_prev, dp.W, dp.b, fusion
-            )
-            if direction == "fwd":
-                state.h_f[layer][step] = h
-                state.c_f[layer][step] = c
-                state.cache_f[layer][step] = cache
-            else:
-                state.h_r[layer][step] = h
-                state.c_r[layer][step] = c
-                state.cache_r[layer][step] = cache
-
-        return fn
-
     def _fn_proj(self, mb, layer, direction, lo, hi):
         if not self.functional:
             return None
@@ -864,41 +832,6 @@ class _Builder:
             target = state.zx_f if direction == "fwd" else state.zx_r
             for k, pos in enumerate(range(lo, hi)):
                 target[layer][pos] = zxs[k]
-
-        return fn
-
-    def _fn_cell_fwd_proj(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        need_cache = self.training
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                zx = state.zx_f[layer][pos]
-                h_prev = state.h_f[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_f[layer][step - 1] if step > 0 else state.c0
-            else:
-                pos = T - 1 - step
-                zx = state.zx_r[layer][pos]
-                h_prev = state.h_r[layer][step - 1] if step > 0 else state.h0
-                c_prev = state.c_r[layer][step - 1] if step > 0 else state.c0
-            if spec.cell != "lstm":
-                c_prev = None
-            h, c, cache = cell_forward_proj(
-                spec, zx, h_prev, c_prev, dp.W, dp.b, need_cache, fusion
-            )
-            if direction == "fwd":
-                state.h_f[layer][step] = h
-                state.c_f[layer][step] = c
-                state.cache_f[layer][step] = cache
-            else:
-                state.h_r[layer][step] = h
-                state.c_r[layer][step] = c
-                state.cache_r[layer][step] = cache
 
         return fn
 
@@ -1023,68 +956,6 @@ class _Builder:
             )
             state.dh_f[last][t_fwd] += da
             state.dh_r[last][u_rev] += db
-
-        return fn
-
-    def _fn_cell_bwd(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-        fusion = self.fusion
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                dh, dc = state.dh_f[layer][step], state.dc_f[layer][step]
-                cache = state.cache_f[layer][step]
-            else:
-                dh, dc = state.dh_r[layer][step], state.dc_r[layer][step]
-                cache = state.cache_r[layer][step]
-            dx, dh_prev, dc_prev = cell_backward(spec, dh, dc, cache, dp.W, gp.W, gp.b, fusion)
-            if step > 0:
-                if direction == "fwd":
-                    state.dh_f[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_f[layer][step - 1] += dc_prev
-                else:
-                    state.dh_r[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_r[layer][step - 1] += dc_prev
-            if layer > 0:
-                pos = step if direction == "fwd" else T - 1 - step
-                state.dmerged[layer - 1][pos] += dx
-
-        return fn
-
-    def _fn_cell_bwd_proj(self, mb, layer, direction, step):
-        if not self.functional:
-            return None
-        state, spec, params, T = self.chunks[mb], self.spec, self.params, self.seq_len
-
-        def fn():
-            dp = params.layers[layer].direction(direction)
-            gp = state.grads.layers[layer].direction(direction)
-            if direction == "fwd":
-                pos = step
-                dh, dc = state.dh_f[layer][step], state.dc_f[layer][step]
-                cache = state.cache_f[layer][step]
-            else:
-                pos = T - 1 - step
-                dh, dc = state.dh_r[layer][step], state.dc_r[layer][step]
-                cache = state.cache_r[layer][step]
-            dz, dh_prev, dc_prev = cell_backward_proj(spec, dh, dc, cache, dp.W, gp.W, gp.b)
-            target = state.dz_f if direction == "fwd" else state.dz_r
-            target[layer][pos] = dz
-            if step > 0:
-                if direction == "fwd":
-                    state.dh_f[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_f[layer][step - 1] += dc_prev
-                else:
-                    state.dh_r[layer][step - 1] += dh_prev
-                    if dc_prev is not None:
-                        state.dc_r[layer][step - 1] += dc_prev
 
         return fn
 
@@ -1333,19 +1204,6 @@ class _Builder:
                 )
 
     def _build_forward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
-        # The per-step and wavefront variants are separate methods, not a
-        # branch: the closure-capture lint audits each payload factory
-        # against the accessor calls reachable from the method that
-        # instantiates it, so the per-step build site must not reach the
-        # tile builder's declarations (and vice versa).
-        if self.fusion == "wavefront":
-            self._build_forward_layer_wave(mb, layer, serial_dirs)
-        else:
-            self._build_forward_layer_steps(mb, layer, serial_dirs)
-
-    def _build_forward_layer_wave(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
         spec = self.spec
         bc = self.chunk_batches[mb]
         fused = self.fused_layers[layer]
@@ -1355,63 +1213,6 @@ class _Builder:
         else:
             fwd_flops = cell_fwd_flops(spec, bc, layer)
         self._build_forward_chain_tiles(mb, layer, fused, fwd_flops, serial_dirs)
-        self._build_forward_layer_outputs(mb, layer)
-
-    def _build_forward_layer_steps(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-
-        if fused:
-            self._build_proj_tasks(mb, layer)
-            fwd_flops = cell_fwd_step_proj_flops(spec, bc)
-        else:
-            fwd_flops = cell_fwd_flops(spec, bc, layer)
-        # Barrier-free mode interleaves the two chains' creation (purely a
-        # ready-queue fairness matter); serial_dirs mode creates chain-major
-        # so the reverse chain's first task can depend on the forward
-        # chain's last write (framework discipline).
-        if serial_dirs:
-            schedule = [(d, s) for d in ("fwd", "rev") for s in range(T)]
-        else:
-            schedule = [(d, s) for s in range(T) for d in ("fwd", "rev")]
-        for direction, step in schedule:
-                pos = step if direction == "fwd" else T - 1 - step
-                if fused:
-                    x_region = self.r_zx(mb, layer, direction, pos)
-                else:
-                    x_region = self._in_region(mb, layer, pos)
-                ins = [x_region, self.r_w(layer, direction)]
-                if step > 0:
-                    ins.append(self.r_h(mb, layer, direction, step - 1))
-                if serial_dirs and direction == "rev" and step == 0:
-                    # framework discipline: reverse pass starts only after
-                    # the forward pass of this layer has finished
-                    ins.append(self.r_h(mb, layer, "fwd", T - 1))
-                outs = [self.r_h(mb, layer, direction, step)]
-                if not fused or self.training:
-                    # fused inference never materialises the per-step cache
-                    outs.append(self.r_cache(mb, layer, direction, step))
-                self._add(
-                    f"{direction}[{mb}]L{layer}s{step}",
-                    self._fn_cell_fwd_proj(mb, layer, direction, step)
-                    if fused
-                    else self._fn_cell_fwd(mb, layer, direction, step),
-                    ins=ins,
-                    outs=outs,
-                    flops=fwd_flops,
-                    kind="cell",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "step": step,
-                        **self._fusion_meta(mb),
-                    },
-                    mb=mb,
-                )
         self._build_forward_layer_outputs(mb, layer)
 
     def _build_forward_layer_outputs(self, mb: int, layer: int) -> None:
@@ -1438,27 +1239,47 @@ class _Builder:
             self._build_head(mb)
 
     def _wave_tiles(self) -> List[tuple]:
-        """Ascending ``(lo, hi)`` step ranges of the wavefront chain tiles."""
+        """Ascending ``(lo, hi)`` step ranges of the chain tiles."""
         T, K = self.seq_len, self.wave_tile
         return [(lo, min(lo + K, T)) for lo in range(0, T, K)]
+
+    def _tile_meta(self, mb: int, layer: int) -> tuple:
+        """Per-layer constants of the chain-tile builders: the cell-task
+        cost meta, the GEMM calls one tiled step issues (``fusion="off"``
+        runs one per gate, every other rung one stacked call) and the two
+        direction weight regions."""
+        calls = self.gate_mult if self.fusion == "off" else 1
+        weights = {d: self.r_w(layer, d) for d in ("fwd", "rev")}
+        return self._fusion_meta(mb), calls, weights
+
+    @staticmethod
+    def _tile_span(lo: int, hi: int) -> str:
+        """Name suffix of a chain tile: ``s{step}`` for one step (the
+        per-step name), ``w{lo}-{hi}`` for a wider tile."""
+        return f"s{lo}" if hi - lo == 1 else f"w{lo}-{hi}"
 
     def _build_forward_chain_tiles(
         self, mb: int, layer: int, fused: bool, step_flops: float, serial_dirs: bool
     ) -> None:
-        """Wavefront tiling of a layer's two forward chains (docs/PERF.md).
+        """A layer's two forward chains as chain tiles (docs/PERF.md).
 
-        One task per ``wavefront_tile`` consecutive chain steps, declaring
-        the *union* of the per-step declarations it replaces — every input
-        (or ``zx``) position, the carried ``h`` from below the tile, and
-        every ``h``/cache slot it publishes — so racecheck and the
-        over-declaration analyzer audit tiles exactly like steps.  With
-        the chains cut into tiles, layer ``l+1``'s first tile depends only
-        on layer ``l``'s merges of its own positions: the layer×time
-        diagonal of the wavefront becomes explicit while per-layer task
-        count drops from ``T`` to ``⌈T/K⌉``.
+        One task per ``wave_tile`` consecutive chain steps (one step on
+        every rung but ``"wavefront"``), declaring the *union* of the
+        per-step declarations — every input (or ``zx``) position, the
+        carried ``h`` from below the tile, and every ``h``/cache slot it
+        publishes — so racecheck and the over-declaration analyzer audit
+        a tile exactly like a step.  With the chains cut into wider tiles,
+        layer ``l+1``'s first tile depends only on layer ``l``'s merges of
+        its own positions: the layer×time diagonal of the wavefront
+        becomes explicit while per-layer task count drops from ``T`` to
+        ``⌈T/K⌉``.  Barrier-free mode interleaves the two chains' creation
+        (ready-queue fairness); ``serial_dirs`` creates them chain-major so
+        the reverse chain's first tile can depend on the forward chain's
+        last write (framework discipline).
         """
         T = self.seq_len
         tiles = self._wave_tiles()
+        fmeta, calls, weights = self._tile_meta(mb, layer)
         if serial_dirs:
             schedule = [(d, i) for d in ("fwd", "rev") for i in range(len(tiles))]
         else:
@@ -1466,17 +1287,12 @@ class _Builder:
         for direction, i in schedule:
             lo, hi = tiles[i]
             steps = range(lo, hi)
+            positions = steps if direction == "fwd" else [T - 1 - s for s in steps]
             if fused:
-                ins = [
-                    self.r_zx(mb, layer, direction, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
+                ins = [self.r_zx(mb, layer, direction, p) for p in positions]
             else:
-                ins = [
-                    self._in_region(mb, layer, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
-            ins.append(self.r_w(layer, direction))
+                ins = [self._in_region(mb, layer, p) for p in positions]
+            ins.append(weights[direction])
             if lo > 0:
                 ins.append(self.r_h(mb, layer, direction, lo - 1))
             if serial_dirs and direction == "rev" and lo == 0:
@@ -1485,9 +1301,10 @@ class _Builder:
                 ins.append(self.r_h(mb, layer, "fwd", T - 1))
             outs = [self.r_h(mb, layer, direction, s) for s in steps]
             if not fused or self.training:
+                # fused inference never materialises the per-step cache
                 outs += [self.r_cache(mb, layer, direction, s) for s in steps]
             self._add(
-                f"{direction}[{mb}]L{layer}w{lo}-{hi}",
+                f"{direction}[{mb}]L{layer}{self._tile_span(lo, hi)}",
                 self._fn_cell_fwd_tile(mb, layer, direction, lo, hi),
                 ins=ins,
                 outs=outs,
@@ -1499,10 +1316,8 @@ class _Builder:
                     "dir": direction,
                     "lo": lo,
                     "hi": hi,
-                    "tile": hi - lo,
-                    **self._fusion_meta(mb),
-                    # one stacked GEMM call per tiled step
-                    "gemm_calls": hi - lo,
+                    **fmeta,
+                    "gemm_calls": (hi - lo) * calls,
                 },
                 mb=mb,
             )
@@ -1510,16 +1325,23 @@ class _Builder:
     def _build_backward_chain_tiles(
         self, mb: int, layer: int, fused: bool, step_flops: float, serial_dirs: bool
     ) -> None:
-        """Wavefront tiling of a layer's two backward chains.
+        """A layer's two backward chains as chain tiles.
 
         Mirrors :meth:`_build_forward_chain_tiles`: tiles run in
         descending step order, read every ``dh``/cache slot they consume
         (merge contributions land first — the per-step summation order),
         accumulate the carry leaving the tile into slot ``lo-1``, and emit
-        either per-position ``dz`` (fused layers) or ``dm`` contributions.
+        either per-position ``dz`` (fused layers, for the per-block
+        ``proj_bwd``) or ``dm`` contributions.  Creation order fixes the
+        WAW order on the shared ``dm`` accumulators; interleaving the two
+        chains by position keeps each at most one tile behind the other so
+        both run concurrently (the two contributions commute bitwise).
+        ``serial_dirs`` creates chain-major so the cross-direction
+        dependence lands on the fwd chain's last tile.
         """
         T = self.seq_len
         tiles = self._wave_tiles()
+        fmeta, calls, weights = self._tile_meta(mb, layer)
         order = list(range(len(tiles) - 1, -1, -1))
         if serial_dirs:
             schedule = [(d, i) for d in ("fwd", "rev") for i in order]
@@ -1530,7 +1352,7 @@ class _Builder:
             steps = range(hi - 1, lo - 1, -1)
             ins = [self.r_dh(mb, layer, direction, s) for s in steps]
             ins += [self.r_cache(mb, layer, direction, s) for s in steps]
-            ins.append(self.r_w(layer, direction))
+            ins.append(weights[direction])
             if serial_dirs and direction == "rev" and i == order[0]:
                 # framework discipline: the reverse backward pass waits for
                 # the forward-direction backward pass (its final gW write)
@@ -1539,18 +1361,14 @@ class _Builder:
             if lo > 0:
                 inouts.append(self.r_dh(mb, layer, direction, lo - 1))
             outs = []
-            if fused:
-                outs = [
-                    self.r_dz(mb, layer, direction, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
-            elif layer > 0:
-                inouts += [
-                    self.r_dm(mb, layer - 1, s if direction == "fwd" else T - 1 - s)
-                    for s in steps
-                ]
+            if fused or layer > 0:
+                positions = steps if direction == "fwd" else [T - 1 - s for s in steps]
+                if fused:
+                    outs = [self.r_dz(mb, layer, direction, p) for p in positions]
+                else:
+                    inouts += [self.r_dm(mb, layer - 1, p) for p in positions]
             self._add(
-                f"{direction}Bwd[{mb}]L{layer}w{lo}-{hi}",
+                f"{direction}Bwd[{mb}]L{layer}{self._tile_span(lo, hi)}",
                 self._fn_cell_bwd_tile(mb, layer, direction, lo, hi),
                 ins=ins,
                 outs=outs,
@@ -1563,9 +1381,8 @@ class _Builder:
                     "dir": direction,
                     "lo": lo,
                     "hi": hi,
-                    "tile": hi - lo,
-                    **self._fusion_meta(mb),
-                    "gemm_calls": hi - lo,
+                    **fmeta,
+                    "gemm_calls": (hi - lo) * calls,
                 },
                 mb=mb,
             )
@@ -1578,7 +1395,7 @@ class _Builder:
         return [(t, t, T - 1 - t, t) for t in range(T)]
 
     def _build_head(self, mb: int) -> None:
-        spec, T, g = self.spec, self.seq_len, self.graph
+        spec = self.spec
         bc = self.chunk_batches[mb]
         last = spec.num_layers - 1
         mflops = merge_flops(spec.merge_mode, bc, spec.hidden_size)
@@ -1618,19 +1435,12 @@ class _Builder:
                 )
 
     def _build_backward(self, mb: int) -> None:
-        spec, T, g = self.spec, self.seq_len, self.graph
-        bc = self.chunk_batches[mb]
-        last = spec.num_layers - 1
-        mul = spec.merge_mode == "mul"
-        hbflops = dense_bwd_flops(bc, spec.head_input_size, spec.num_classes)
-        mbflops = 2.0 * merge_flops(spec.merge_mode, bc, spec.hidden_size)
-
         self._build_backward_head(mb)
-        for layer in range(last, -1, -1):
+        for layer in range(self.spec.num_layers - 1, -1, -1):
             self._build_backward_layer(mb, layer)
 
     def _build_backward_head(self, mb: int) -> None:
-        spec, T = self.spec, self.seq_len
+        spec = self.spec
         bc = self.chunk_batches[mb]
         last = spec.num_layers - 1
         mul = spec.merge_mode == "mul"
@@ -1713,16 +1523,6 @@ class _Builder:
                 )
 
     def _build_backward_layer(self, mb: int, layer: int, serial_dirs: bool = False) -> None:
-        # Split like _build_forward_layer: keep each payload factory's
-        # build site reaching only its own declarations (closure lint).
-        if self.fusion == "wavefront":
-            self._build_backward_layer_wave(mb, layer, serial_dirs)
-        else:
-            self._build_backward_layer_steps(mb, layer, serial_dirs)
-
-    def _build_backward_layer_wave(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
         spec = self.spec
         bc = self.chunk_batches[mb]
         fused = self.fused_layers[layer]
@@ -1731,73 +1531,6 @@ class _Builder:
         else:
             bwd_flops = cell_bwd_flops(spec, bc, layer)
         self._build_backward_chain_tiles(mb, layer, fused, bwd_flops, serial_dirs)
-        self._build_backward_layer_outputs(mb, layer, fused)
-
-    def _build_backward_layer_steps(
-        self, mb: int, layer: int, serial_dirs: bool = False
-    ) -> None:
-        spec, T = self.spec, self.seq_len
-        bc = self.chunk_batches[mb]
-        fused = self.fused_layers[layer]
-        if fused:
-            bwd_flops = cell_bwd_step_proj_flops(spec, bc)
-        else:
-            bwd_flops = cell_bwd_flops(spec, bc, layer)
-        # The two direction chains are created interleaved by chain
-        # position.  Creation order fixes the WAW order on the shared
-        # ``dm`` accumulators; pairing by position keeps each chain at
-        # most one task behind the other so both run concurrently
-        # (chain-major creation would serialise them: the rev chain's
-        # first task writes the dm slot the fwd chain writes last).
-        # The two dm contributions commute bitwise, so results are
-        # unchanged.  serial_dirs (barriered mode) creates chain-major so
-        # the cross-direction dependence lands on the fwd chain's last task.
-        if serial_dirs:
-            schedule = [(d, p) for d in ("fwd", "rev") for p in range(T)]
-        else:
-            schedule = [(d, p) for p in range(T) for d in ("fwd", "rev")]
-        for direction, position in schedule:
-                step = T - 1 - position
-                ins = [
-                    self.r_dh(mb, layer, direction, step),
-                    self.r_cache(mb, layer, direction, step),
-                    self.r_w(layer, direction),
-                ]
-                if serial_dirs and direction == "rev" and position == 0:
-                    # framework discipline: the reverse backward pass waits
-                    # for the forward-direction backward pass of this layer
-                    # (its final gW write)
-                    ins.append(self.r_gw(mb, layer, "fwd"))
-                inouts = [self.r_gw(mb, layer, direction)]
-                if step > 0:
-                    inouts.append(self.r_dh(mb, layer, direction, step - 1))
-                outs = []
-                if fused:
-                    # dx is deferred: publish dz for the per-block proj_bwd
-                    pos = step if direction == "fwd" else T - 1 - step
-                    outs.append(self.r_dz(mb, layer, direction, pos))
-                elif layer > 0:
-                    pos = step if direction == "fwd" else T - 1 - step
-                    inouts.append(self.r_dm(mb, layer - 1, pos))
-                self._add(
-                    f"{direction}Bwd[{mb}]L{layer}s{step}",
-                    self._fn_cell_bwd_proj(mb, layer, direction, step)
-                    if fused
-                    else self._fn_cell_bwd(mb, layer, direction, step),
-                    ins=ins,
-                    outs=outs,
-                    inouts=inouts,
-                    flops=bwd_flops,
-                    kind="cell_bwd",
-                    meta={
-                        "mb": mb,
-                        "layer": layer,
-                        "dir": direction,
-                        "step": step,
-                        **self._fusion_meta(mb),
-                    },
-                    mb=mb,
-                )
         self._build_backward_layer_outputs(mb, layer, fused)
 
     def _build_backward_layer_outputs(self, mb: int, layer: int, fused: bool) -> None:

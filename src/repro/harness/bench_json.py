@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -56,7 +57,8 @@ def host_facts() -> Dict:
 
     ``nproc`` counts the machine's cores, ``affinity_cores`` those this
     process may run on, and ``blas_threads`` is this process's OpenBLAS
-    thread count (``None`` without OpenBLAS).  Recorded only; no gate
+    thread count (``None`` without OpenBLAS); ``numpy`` and ``python``
+    are the NumPy and interpreter versions.  Recorded only; no gate
     requires the block yet.
     """
     try:
@@ -69,6 +71,8 @@ def host_facts() -> Dict:
         "blas_name": blas.get("name", "unknown"),
         "blas_version": blas.get("version", "unknown"),
         "blas_threads": blas_threads(),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
     }
 
 

@@ -80,10 +80,12 @@ class CostModel:
         if task.kind in GEMM_KINDS:
             rate = self.machine.gemm_gflops
             # Small GEMMs cannot amortise vectorisation/blocking overhead.
-            # Builders annotate tasks that issue several GEMM calls
-            # (``fusion="off"``'s per-gate calls, a wavefront tile's
-            # per-step calls) with ``gemm_calls``: the penalty applies to
-            # the *per-call* problem size, not the task total.
+            # Every cell task is a chain tile ``[lo, hi)`` annotated with
+            # ``gemm_calls = (hi - lo) × (G if fusion == "off" else 1)``
+            # (``"off"`` issues one call per gate, every other rung one
+            # stacked call per step); the penalty applies to the
+            # *per-call* problem size, not the task total.  Tasks without
+            # the annotation issue one call.
             ref = self.machine.small_gemm_ref_flops
             if ref > 0:
                 calls = max(1, int(task.meta.get("gemm_calls", 1)))

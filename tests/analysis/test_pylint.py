@@ -355,13 +355,13 @@ def test_closure_capture_rediscovers_cache_race_statically():
     by executing the graph and watching the undeclared access happen.
     """
     source = GRAPH_BUILDER.read_text()
-    needle = "outs.append(self.r_cache(mb, layer, direction, step))"
+    needle = "outs += [self.r_cache(mb, layer, direction, s) for s in steps]"
     assert needle in source, "graph_builder cache declaration moved; update test"
     mutated = source.replace(needle, "pass")
     findings = lint_source(mutated, path=str(GRAPH_BUILDER))
     captures = [f for f in findings if f.rule == "undeclared-closure-capture"]
     assert captures, "static lint failed to rediscover the cache race"
     assert all("'cache'" in f.message for f in captures)
-    assert any("_fn_cell_fwd" in f.message for f in captures)
+    assert any("_fn_cell_fwd_tile" in f.message for f in captures)
     # and the unmutated source stays clean
     assert lint_source(source, path=str(GRAPH_BUILDER)) == []

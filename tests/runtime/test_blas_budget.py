@@ -8,7 +8,9 @@ Placement and the budget both count cores from the affinity mask.
 
 import json
 import os
+import platform
 
+import numpy as np
 import pytest
 
 from repro.harness.bench_json import write_bench_json
@@ -154,3 +156,5 @@ def test_bench_records_carry_host_facts(tmp_path):
     assert host["affinity_cores"] == _usable_cores()
     assert host["blas_threads"] == blas_threads()
     assert isinstance(host["blas_name"], str) and isinstance(host["blas_version"], str)
+    assert host["numpy"] == np.__version__
+    assert host["python"] == platform.python_version()
